@@ -52,6 +52,8 @@ class GlobalGraph:
         adj: dict[int, set[int]] = {}
         hi = -1
         for u, v in pairs:
+            if u < 0 or v < 0:
+                raise ValueError(f"negative vertex id in edge ({u}, {v})")
             if u == v:
                 continue
             hi = max(hi, u, v)
@@ -73,9 +75,6 @@ class GlobalGraph:
 
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
 
     # ------------------------------------------------- preprocessing
     def kcore_vertices(self, k: int) -> set[int]:
@@ -171,33 +170,28 @@ class GlobalGraph:
         scope = {u for u in self.two_hop(v, alive) if u == v or rank[u] > rv}
         if len(scope) < tau_size:
             return None
-        ids = sorted(scope, key=lambda u: rank[u])
-        pos = {u: i for i, u in enumerate(ids)}
-        g = LocalGraph(len(ids))
-        for u in ids:
-            m = 0
-            for w in self.adj[u] & scope:
-                m |= 1 << pos[w]
-            g.adj[pos[u]] = m
+        g, ids = self.induce_local(sorted(scope, key=lambda u: rank[u]))
         core = g.kcore_mask(k)
-        if not (core >> pos[v]) & 1:
+        s_mask = 1  # v ranks lowest in its scope: local vertex 0
+        if not core & s_mask:
             return None
         gsub = g.induce(core)
-        s_mask = 1 << pos[v]
         ext_mask = core & ~s_mask
         if ext_mask == 0 or core.bit_count() < tau_size:
             return None
         return SpawnTask(root=v, graph=gsub, ids=ids, s_mask=s_mask, ext_mask=ext_mask)
 
-    def induce_local(self, vertices: set[int]) -> tuple[LocalGraph, list[int]]:
-        """Compact LocalGraph induced by a global-id vertex set (used to
-        re-materialize subtask subgraphs, Alg 8 line 19)."""
-        ids = sorted(vertices)
+    def induce_local(self, vertices) -> tuple[LocalGraph, list[int]]:
+        """Compact LocalGraph induced by global-id ``vertices`` (used to
+        materialize task subgraphs, Alg 8 line 19), plus the compact →
+        global id table: local vertex i is the i-th vertex iterated."""
+        ids = list(vertices)
+        within = set(ids)
         pos = {u: i for i, u in enumerate(ids)}
         g = LocalGraph(len(ids))
-        for u in ids:
+        for i, u in enumerate(ids):
             m = 0
-            for w in self.adj[u] & vertices:
+            for w in self.adj[u] & within:
                 m |= 1 << pos[w]
-            g.adj[pos[u]] = m
+            g.adj[i] = m
         return g, ids

@@ -3,11 +3,11 @@
 Each workload is the paper's per-vertex divide-and-conquer task shape:
 a task spawned from v works on v's (1- or 2-hop) ego neighbourhood
 restricted to higher ids, so every triangle / clique / pattern match is
-counted exactly once. Tasks run inside ``mapInPandas`` against a
-broadcast adjacency (the G-thinker vertex-store analogue), with the
-same big-task-first scheduling knob as the quasi-clique engine
-(``prioritize_big``): the redesigned engine sorts spawn vertices by
-degree descending; the old engine takes them in arbitrary id order.
+counted exactly once. Tasks run in one :func:`repro.gthinker.engine.deal_round`
+stage — the quasi-clique engine's round — against a broadcast adjacency
+(the G-thinker vertex-store analogue). ``prioritize_big`` picks the
+engine: the redesigned engine sorts spawn vertices by degree
+descending; the old engine takes them in id order.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ import pandas as pd
 from ..core.bitset import bits, mask_of
 from ..core.maxclique import max_clique
 from ..graphs.global_graph import GlobalGraph
+from .engine import deal_round
 
-__all__ = ["AppResult", "triangle_count_tasks", "max_clique_tasks",
-           "square_count_tasks", "run_app_spark", "run_app_serial"]
+__all__ = ["AppResult", "run_app_spark", "run_app_serial"]
 
 
 @dataclass
@@ -112,12 +112,8 @@ def run_app_spark(
             vals = [kernel(g_all, int(v)) for v in pdf["v"]]
             yield pd.DataFrame({"val": [combine(vals) if vals else 0]})
 
-    df = (
-        spark.createDataFrame(pd.DataFrame({"v": verts}))
-        .coalesce(1)
-        .repartition(min(n_part, len(verts)))
-    )
-    parts = df.mapInPandas(work, schema="val long").toPandas()
+    parts = deal_round(spark, pd.DataFrame({"v": verts}), "v long", n_part,
+                       work, "val long")
     value = combine(parts["val"].tolist()) if len(parts) else 0
     bc.unpersist()
     return AppResult(value=int(value), job_time=time.perf_counter() - t0,

@@ -1,46 +1,64 @@
 """The redesigned G-thinker execution engine, reproduced on PySpark.
 
-Two interchangeable drivers run the same task code
-(:func:`repro.gthinker.tasks.run_task`):
+A task is ⟨S, ext(S)⟩ as two lists of global vertex ids. Root tasks
+list ext in mining-rank order and subtasks list it by ascending id; S
+starts with the task tree's spawn vertex. One executor
+(:func:`_execute_task`) runs every task, root or subtask: it induces
+the task subgraph from the pruned graph, local vertex i being
+``(S + ext)[i]``, runs :func:`repro.gthinker.tasks.run_task` and returns
+one per-task record. Both drivers share one round loop — spawn the
+root tasks; per round, sort the pending tasks by |ext| descending,
+execute them, merge the records and queue their subtasks; finally drop
+the non-maximal results — and differ only in how a round executes:
 
-* :func:`run_serial` — single-threaded reference (the paper's "serial
-  mining time"; also the Quick+/Quick comparison harness).
-* :func:`run_spark` — the distributed engine. Each *round* is one
-  ``mapInPandas`` pass over a DataFrame of tasks; child subtasks become
-  the next round's DataFrame. The paper's scheduling redesign maps to:
+* :func:`run_serial` — in this process; the single-threaded reference
+  (the paper's "serial mining time").
+* :func:`run_spark` — as one ``mapInPandas`` stage over a DataFrame of
+  tasks (typed Arrow columns ``s``/``ext`` in, one record per task
+  out). The paper's scheduling redesign maps to:
 
-  - **big-task prioritization** (global queue Q_global): tasks are
-    sorted by estimated cost (|ext(S)|) descending before partitioning,
-    so every partition starts with its biggest tasks;
-  - **task stealing / load balancing**: the sorted tasks are dealt
-    round-robin over ``parallelism`` partitions (Spark's round-robin
-    ``repartition``), spreading big tasks evenly across cores —
-    the dataflow analogue of stealing from overloaded machines;
-  - the **old engine** (pre-redesign, for Table 4's G-thinker column)
-    is the same loop with prioritization off (spawn-order FIFO).
+  - **big-task prioritization** (global queue Q_global): the |ext|
+    descending sort, so every partition starts with its biggest tasks;
+  - **task stealing / load balancing**: :func:`deal_round` deals the
+    sorted tasks round-robin over ``parallelism`` partitions,
+    spreading big tasks evenly across cores — the dataflow analogue of
+    stealing from overloaded machines.
 
-  The k-core-pruned input graph is shipped once per executor as a
-  broadcast (the analogue of G-thinker's distributed vertex store +
-  remote vertex cache: every vertex pulled at most once).
+  The pruned input graph is shipped once per executor as a broadcast
+  (the analogue of G-thinker's distributed vertex store + remote
+  vertex cache: every vertex pulled at most once).
+
+Table 4's old engine (pre-redesign, no prioritization) is
+:func:`repro.gthinker.apps.run_app_spark` with ``prioritize_big=False``.
 """
 from __future__ import annotations
 
-import json
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import pandas as pd
 
+from ..core.bitset import bits
 from ..core.gamma import make_gamma
 from ..core.postprocess import timed_maximal_only
 from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
-from .tasks import run_task
+from .tasks import STRATEGIES, run_task
 
-__all__ = ["JobResult", "run_serial", "run_spark", "spawn_all"]
+__all__ = ["JobResult", "deal_round", "run_serial", "run_spark", "spawn_all"]
 
-_TASK_SCHEMA = "kind string, payload string"
+_LISTS = ["results", "sub_s", "sub_ext"]  # shipped back, merged, then dropped
+_SCALARS = ["root", "mine_s", "mat_s", *(f.name for f in fields(MineStats))]
+_TASK_SCHEMA = "s array<bigint>, ext array<bigint>"
+_RECORD_SCHEMA = ", ".join(
+    [*(f"{c} array<array<bigint>>" for c in _LISTS),
+     "root bigint", "mine_s double", "mat_s double"]
+    + [f"{f.name} {'bigint' if type(f.default) is int else 'double'}"
+       for f in fields(MineStats)]
+)
 
 
 @dataclass
@@ -51,13 +69,14 @@ class JobResult:
     maximal: set[frozenset[int]] = field(default_factory=set)
     job_time: float = 0.0
     mine_time: float = 0.0  # sum of per-task mining time
-    materialize_time: float = 0.0  # sum of subtask-subgraph build time
+    materialize_time: float = 0.0  # sum of task-subgraph build time
     postprocess_time: float = 0.0
     n_root_tasks: int = 0
     n_subtasks: int = 0
     n_rounds: int = 0
     stats: MineStats = field(default_factory=MineStats)
-    task_features: pd.DataFrame | None = None  # Tables 1–2 per-task rows
+    # One row per executed task: root, mine_s, mat_s, MineStats fields.
+    tasks: pd.DataFrame = field(default_factory=lambda: pd.DataFrame(columns=_SCALARS))
 
     @property
     def n_results(self) -> int:
@@ -88,32 +107,74 @@ def spawn_all(
     return pruned, tasks
 
 
-def _merge_outcome(job: JobResult, outcome) -> list:
-    job.results.update(outcome.results)
-    job.mine_time += outcome.mine_time
-    job.materialize_time += outcome.materialize_time
-    job.stats.merge(outcome.stats)
-    job.n_subtasks += len(outcome.subtasks)
-    return outcome.subtasks
+def _records(rows) -> pd.DataFrame:
+    return pd.DataFrame(rows, columns=[*_LISTS, *_SCALARS])
 
 
-def _run_subtask(pruned: GlobalGraph, s_set, ext_set, gamma, tau_size, **kw):
-    """Re-materialize a child task's subgraph (counted as
-    materialization time) and run it."""
+def _execute_task(graph: GlobalGraph, s: list[int], ext: list[int], **task_kw) -> dict:
+    """Materialize task ⟨S, ext⟩ from the pruned ``graph`` (counted as
+    materialization, like G-thinker's frontier pulls), run it and
+    return its per-task record."""
     t0 = time.perf_counter()
-    verts = set(s_set) | set(ext_set)
-    g, ids = pruned.induce_local(verts)
-    pos = {u: i for i, u in enumerate(ids)}
-    s_mask = 0
-    for u in s_set:
-        s_mask |= 1 << pos[u]
-    ext_mask = 0
-    for u in ext_set:
-        ext_mask |= 1 << pos[u]
+    g, ids = graph.induce_local(s + ext)
+    s_mask = (1 << len(s)) - 1
     mat = time.perf_counter() - t0
-    out = run_task(g, ids, s_mask, ext_mask, gamma, tau_size, **kw)
-    out.materialize_time += mat
-    return out
+    out = run_task(g, ids, s_mask, ((1 << len(ids)) - 1) ^ s_mask, **task_kw)
+    return {
+        "results": [list(r) for r in out.results],
+        "sub_s": [sub[0] for sub in out.subtasks],
+        "sub_ext": [sub[1] for sub in out.subtasks],
+        "root": s[0],
+        "mine_s": out.mine_time,
+        "mat_s": mat + out.materialize_time,
+        **asdict(out.stats),
+    }
+
+
+def _run_job(executor, gg: GlobalGraph, gamma, tau_size: int, *, strategy: str,
+             tau_split: int, tau_time: float, cfg: MineConfig) -> JobResult:
+    """The round loop both engines share; ``executor(pruned, task_kw)``
+    is a context manager yielding a function from a round's tasks to
+    their records."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    t_start = time.perf_counter()
+    gam = make_gamma(gamma)
+    pruned, roots = spawn_all(gg, gam, tau_size, cfg)
+    job = JobResult(n_root_tasks=len(roots))
+    pending = [([t.root], [t.ids[i] for i in bits(t.ext_mask)]) for t in roots]
+    records = []
+    if pending:
+        task_kw = dict(gamma=gam, tau_size=tau_size, strategy=strategy,
+                       tau_split=tau_split, tau_time=tau_time, cfg=cfg)
+        with executor(pruned, task_kw) as run_round:
+            while pending:
+                job.n_rounds += 1
+                pending.sort(key=lambda t: len(t[1]), reverse=True)
+                out = run_round(pending)
+                pending = []
+                for res, sub_s, sub_ext in zip(*(out[c] for c in _LISTS)):
+                    job.results.update(map(frozenset, res))
+                    pending += zip(sub_s, sub_ext)
+                job.n_subtasks += len(pending)
+                records.append(out.drop(columns=_LISTS))
+    if records:
+        job.tasks = pd.concat(records, ignore_index=True)
+    job.mine_time = float(job.tasks["mine_s"].sum())
+    job.materialize_time = float(job.tasks["mat_s"].sum())
+    job.stats = MineStats(**{
+        f.name: type(f.default)(job.tasks[f.name].sum()) for f in fields(MineStats)
+    })
+    job.maximal, job.postprocess_time = timed_maximal_only(job.results)
+    job.job_time = time.perf_counter() - t_start
+    return job
+
+
+@contextmanager
+def _in_process(pruned: GlobalGraph, task_kw: dict):
+    yield lambda tasks: _records(
+        [_execute_task(pruned, s, e, **task_kw) for s, e in tasks]
+    )
 
 
 def run_serial(
@@ -125,65 +186,37 @@ def run_serial(
     tau_split: int = 50,
     tau_time: float = 1.0,
     cfg: MineConfig = QUICK_PLUS,
-    collect_task_features: bool = False,
 ) -> JobResult:
-    """Single-threaded engine: process root tasks in order, then drain
-    the subtask queue FIFO. Ground truth for the distributed runs."""
+    """Single-threaded engine: every round runs in this process.
+    Ground truth for the distributed runs."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    job = JobResult()
-    t_start = time.perf_counter()
-    pruned, roots = spawn_all(gg, gamma, tau_size, cfg)
-    job.n_root_tasks = len(roots)
-    kw = dict(strategy=strategy, tau_split=tau_split, tau_time=tau_time, cfg=cfg)
-    feats = []
-    queue: list[tuple[frozenset, frozenset]] = []
-    for t in roots:
-        t0 = time.perf_counter()
-        out = run_task(t.graph, t.ids, t.s_mask, t.ext_mask, gamma, tau_size, **kw)
-        queue.extend(_merge_outcome(job, out))
-        if collect_task_features:
-            feats.append(_features_row(t, out, time.perf_counter() - t0))
-    while queue:
-        s_set, ext_set = queue.pop(0)
-        out = _run_subtask(pruned, s_set, ext_set, gamma, tau_size, **kw)
-        queue.extend(_merge_outcome(job, out))
-    job.maximal, job.postprocess_time = timed_maximal_only(job.results)
-    job.job_time = time.perf_counter() - t_start
-    if collect_task_features:
-        job.task_features = pd.DataFrame(feats)
-    return job
-
-
-def _features_row(task, outcome, elapsed: float) -> dict:
-    """Per-task subgraph features of Tables 1–2."""
-    g = task.graph
-    degs = [g.degree(v) for v in range(g.n) if g.adj[v]]
-    n_v = len(degs)
-    n_e = sum(degs) // 2
-    core = 0
-    k = 1
-    while g.kcore_mask(k) != 0:
-        core = k
-        k += 1
-    return {
-        "root": task.root,
-        "num_vertices": n_v,
-        "num_edges": n_e,
-        "max_degree": max(degs, default=0),
-        "avg_degree": (2 * n_e / n_v) if n_v else 0.0,
-        "core_number": core,
-        "task_time_ms": elapsed * 1000.0,
-        "n_results": len(outcome.results),
-    }
+    return _run_job(_in_process, gg, gamma, tau_size, strategy=strategy,
+                    tau_split=tau_split, tau_time=tau_time, cfg=cfg)
 
 
 # --------------------------------------------------------------- spark
-def _encode_tasks(subtasks) -> pd.DataFrame:
-    rows = [
-        {"kind": "task", "payload": json.dumps([sorted(s), sorted(e)])}
-        for s, e in subtasks
-    ]
-    return pd.DataFrame(rows, columns=["kind", "payload"])
+def deal_round(spark, rows: pd.DataFrame, schema: str, n_part: int,
+               work, out_schema: str) -> pd.DataFrame:
+    """One stage: deal ``rows`` round-robin over min(``n_part``, #rows)
+    partitions — from a single input partition, so the shares differ by
+    at most one row — map every partition with ``work`` and collect."""
+    df = (
+        spark.createDataFrame(rows, schema)
+        .coalesce(1)
+        .repartition(min(n_part, len(rows)))
+    )
+    return df.mapInPandas(work, schema=out_schema).toPandas()
+
+
+def _execute_partition(bc, task_kw: dict, batches):
+    """mapInPandas worker: one record per task row."""
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
+    graph: GlobalGraph = bc.value
+    for pdf in batches:
+        yield _records([
+            _execute_task(graph, s.tolist(), e.tolist(), **task_kw)
+            for s, e in zip(pdf["s"], pdf["ext"])
+        ])
 
 
 def run_spark(
@@ -197,126 +230,27 @@ def run_spark(
     tau_time: float = 1.0,
     cfg: MineConfig = QUICK_PLUS,
     parallelism: int | None = None,
-    prioritize_big: bool = True,
-    collect_task_features: bool = False,
 ) -> JobResult:
     """Distributed engine (see module docstring for the mapping)."""
-    sc = spark.sparkContext
-    n_part = parallelism or sc.defaultParallelism
-    job = JobResult()
-    t_start = time.perf_counter()
-    pruned, roots = spawn_all(gg, gamma, tau_size, cfg)
-    job.n_root_tasks = len(roots)
-    if not roots:
-        job.job_time = time.perf_counter() - t_start
-        return job
-    bc = sc.broadcast(pruned)
-    kw = dict(strategy=strategy, tau_split=tau_split, tau_time=tau_time, cfg=cfg)
-    gam = make_gamma(gamma)
+    n_part = parallelism or spark.sparkContext.defaultParallelism
 
-    def mine_partition(pdf_iter):
-        """mapInPandas worker: run every task row, emit result/sub/stat
-        rows. Root rounds ship only the spawn vertex id; the worker
-        rebuilds the ego-net task subgraph from the broadcast graph
-        (counted as materialization, like G-thinker's frontier pulls)."""
-        sys.setrecursionlimit(20000)
-        g_all: GlobalGraph = bc.value
-        alive = {v for v in range(g_all.n) if g_all.adj[v]}
-        rank, _ = g_all.mining_order(alive, cfg.degenerate_cover)
-        rows = []
-        mine_t = 0.0
-        mat_t = 0.0
-        stats = MineStats()
-        feat_rows = []
-        for pdf in pdf_iter:
-            for kind, payload in zip(pdf["kind"], pdf["payload"]):
-                t_task0 = time.perf_counter()
-                if kind == "root":
-                    v = int(payload)
-                    t0 = time.perf_counter()
-                    task = g_all.spawn_task(v, rank, alive, gam, tau_size)
-                    mat_t += time.perf_counter() - t0
-                    if task is None:
-                        continue
-                    out = run_task(
-                        task.graph, task.ids, task.s_mask, task.ext_mask,
-                        gam, tau_size, **kw,
-                    )
-                    if collect_task_features:
-                        feat_rows.append(
-                            _features_row(task, out, time.perf_counter() - t_task0)
-                        )
-                else:
-                    s_list, e_list = json.loads(payload)
-                    out = _run_subtask(
-                        g_all, frozenset(s_list), frozenset(e_list),
-                        gam, tau_size, **kw,
-                    )
-                mine_t += out.mine_time
-                mat_t += out.materialize_time
-                stats.merge(out.stats)
-                for s in out.results:
-                    rows.append({"kind": "res", "payload": json.dumps(sorted(s))})
-                for s, e in out.subtasks:
-                    rows.append(
-                        {"kind": "sub", "payload": json.dumps([sorted(s), sorted(e)])}
-                    )
-        rows.append(
-            {
-                "kind": "stat",
-                "payload": json.dumps(
-                    {"mine": mine_t, "mat": mat_t, "stats": stats.__dict__}
-                ),
-            }
-        )
-        for fr in feat_rows:
-            rows.append({"kind": "feat", "payload": json.dumps(fr)})
-        yield pd.DataFrame(rows, columns=["kind", "payload"])
+    @contextmanager
+    def on_spark(pruned: GlobalGraph, task_kw: dict):
+        bc = spark.sparkContext.broadcast(pruned)
+        work = partial(_execute_partition, bc, task_kw)
 
-    # Round 0: root tasks, biggest estimated subgraphs first when
-    # prioritizing (degree is the a-priori cost signal for a spawn).
-    root_rows = [
-        {"kind": "root", "payload": str(t.root), "cost": t.ext_mask.bit_count()}
-        for t in roots
-    ]
-    feat_frames = []
-    pending = pd.DataFrame(root_rows)
-    while not pending.empty:
-        job.n_rounds += 1
-        if prioritize_big:
-            pending = pending.sort_values("cost", ascending=False, kind="stable")
-        tasks_df = (
-            spark.createDataFrame(pending[["kind", "payload"]])
-            .coalesce(1)  # single input partition => exact round-robin deal
-            .repartition(min(n_part, max(1, len(pending))))
-        )
-        out_pdf = tasks_df.mapInPandas(mine_partition, schema=_TASK_SCHEMA).toPandas()
-        next_rows = []
-        for kind, payload in zip(out_pdf["kind"], out_pdf["payload"]):
-            if kind == "res":
-                job.results.add(frozenset(json.loads(payload)))
-            elif kind == "sub":
-                s_list, e_list = json.loads(payload)
-                next_rows.append(
-                    {
-                        "kind": "task",
-                        "payload": json.dumps([s_list, e_list]),
-                        "cost": len(e_list),
-                    }
-                )
-                job.n_subtasks += 1
-            elif kind == "stat":
-                st = json.loads(payload)
-                job.mine_time += st["mine"]
-                job.materialize_time += st["mat"]
-                sub = MineStats(**st["stats"])
-                job.stats.merge(sub)
-            elif kind == "feat":
-                feat_frames.append(json.loads(payload))
-        pending = pd.DataFrame(next_rows)
-    bc.unpersist()
-    job.maximal, job.postprocess_time = timed_maximal_only(job.results)
-    job.job_time = time.perf_counter() - t_start
-    if collect_task_features:
-        job.task_features = pd.DataFrame(feat_frames)
-    return job
+        def run_round(tasks):
+            out = deal_round(spark, pd.DataFrame(tasks, columns=["s", "ext"]),
+                             _TASK_SCHEMA, n_part, work, _RECORD_SCHEMA)
+            for c in _LISTS:  # numpy arrays with Arrow, lists without
+                out[c] = [[a if isinstance(a, list) else a.tolist() for a in cell]
+                          for cell in out[c]]
+            return out
+
+        try:
+            yield run_round
+        finally:
+            bc.unpersist()
+
+    return _run_job(on_spark, gg, gamma, tau_size, strategy=strategy,
+                    tau_split=tau_split, tau_time=tau_time, cfg=cfg)

@@ -26,9 +26,9 @@ class TaskOutcome:
     """What one task produced."""
 
     results: list[frozenset[int]] = field(default_factory=list)  # global ids
-    subtasks: list[tuple[frozenset[int], frozenset[int]]] = field(
-        default_factory=list
-    )  # (S, ext) in global ids
+    # (S, ext) in global ids: S in this task's local order, so it keeps
+    # the spawn vertex first; ext ascending.
+    subtasks: list[tuple[list[int], list[int]]] = field(default_factory=list)
     mine_time: float = 0.0
     materialize_time: float = 0.0
     stats: MineStats = field(default_factory=MineStats)
@@ -77,12 +77,9 @@ def run_task(
     t1 = time.perf_counter()
     out = TaskOutcome(mine_time=mine_time, stats=miner.stats)
     out.results = [frozenset(ids[i] for i in s) for s in miner.results]
-    for s_m, e_m in miner.subtasks:
-        out.subtasks.append(
-            (
-                frozenset(ids[i] for i in bits(s_m)),
-                frozenset(ids[i] for i in bits(e_m)),
-            )
-        )
+    out.subtasks = [
+        ([ids[i] for i in bits(s_m)], sorted(ids[i] for i in bits(e_m)))
+        for s_m, e_m in miner.subtasks
+    ]
     out.materialize_time = time.perf_counter() - t1
     return out

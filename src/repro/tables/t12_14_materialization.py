@@ -5,6 +5,11 @@ mining time, the cumulative subgraph materialization time (building the
 (sub)task subgraphs + translating masks to global ids), and their
 ratio — the paper's evidence that timeout decomposition's overhead is
 small relative to mining.
+
+Materialization counts every task's re-induction of its subgraph from
+the pruned graph, root tasks included. Building the root tasks' 2-hop
+ego nets (``spawn_all``, on the driver) is part of job time but not of
+TotalMaterialize_s.
 """
 from __future__ import annotations
 

@@ -53,14 +53,22 @@ class TestStrategiesAgree:
         assert job.job_time >= job.mine_time * 0  # sanity: fields populated
 
     def test_task_features_collected(self, comm_gg):
-        job = run_serial(comm_gg, 0.85, 8, strategy="base",
-                         collect_task_features=True)
-        tf = job.task_features
-        assert tf is not None and len(tf) == job.n_root_tasks
-        for col in ("num_vertices", "num_edges", "max_degree", "avg_degree",
-                    "core_number", "task_time_ms"):
-            assert col in tf.columns
-        assert (tf["num_vertices"] >= 0).all()
+        """A_base's per-task records: one per root task, summing to the
+        job's counters."""
+        job = run_serial(comm_gg, 0.85, 8, strategy="base")
+        _, roots = spawn_all(comm_gg, 0.85, 8)
+        tf = job.tasks
+        assert sorted(tf["root"]) == sorted(t.root for t in roots)
+        assert (tf["mine_s"] >= 0).all() and (tf["mat_s"] >= 0).all()
+        assert tf["mine_s"].sum() == pytest.approx(job.mine_time)
+        assert tf["n_emitted"].sum() == job.stats.n_emitted == job.n_results
+        assert tf["n_recursive_calls"].sum() == job.stats.n_recursive_calls
+
+    def test_unknown_strategy_rejected(self):
+        """Checked before spawn: a graph with no root tasks still raises."""
+        path = GlobalGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="bogus"):
+            run_serial(path, 0.9, 5, strategy="bogus")
 
 
 class TestDatasetSmoke:

@@ -52,14 +52,10 @@ class TestSparkEngine:
         ]:
             job = run_spark(spark, comm_gg, 0.85, 9, strategy=strategy, **kw)
             assert job.maximal == serial.maximal, strategy
-
-    def test_old_engine_same_results(self, spark, comm_gg):
-        """Prioritization changes scheduling, never results."""
-        new = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
-                        tau_time=0.001, prioritize_big=True)
-        old = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
-                        tau_time=0.001, prioritize_big=False)
-        assert new.maximal == old.maximal
+            if strategy != "time":  # A_time's decomposition depends on the clock
+                same = run_serial(comm_gg, 0.85, 9, strategy=strategy, **kw)
+                assert job.results == same.results, strategy
+                assert len(job.tasks) == len(same.tasks), strategy
 
     def test_parallelism_knob(self, spark, comm_gg):
         lo = run_spark(spark, comm_gg, 0.85, 9, strategy="time",
@@ -75,10 +71,31 @@ class TestSparkEngine:
         assert job.n_root_tasks > 0
 
     def test_task_features_via_spark(self, spark, comm_gg):
-        job = run_spark(spark, comm_gg, 0.85, 9, strategy="base",
-                        collect_task_features=True)
-        assert job.task_features is not None
-        assert len(job.task_features) == job.n_root_tasks
+        """A_base's per-task records: one per root task, as serial's."""
+        job = run_spark(spark, comm_gg, 0.85, 9, strategy="base")
+        serial = run_serial(comm_gg, 0.85, 9, strategy="base")
+        assert len(job.tasks) == job.n_root_tasks
+        assert sorted(job.tasks["root"]) == sorted(serial.tasks["root"])
+        assert job.tasks["n_emitted"].sum() == job.stats.n_emitted
+
+    def test_matches_serial_without_arrow_collect(self, spark, comm_gg):
+        """The job entry points build sessions with Spark's default
+        (Arrow off for toPandas), which collects list columns as lists."""
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        before = spark.conf.get(key)
+        spark.conf.set(key, "false")
+        try:
+            job = run_spark(spark, comm_gg, 0.85, 9, strategy="split", tau_split=5)
+        finally:
+            spark.conf.set(key, before)
+        same = run_serial(comm_gg, 0.85, 9, strategy="split", tau_split=5)
+        assert job.results == same.results
+        assert job.maximal == same.maximal
+        assert len(job.tasks) == len(same.tasks)
+
+    def test_unknown_strategy_rejected(self, spark, comm_gg):
+        with pytest.raises(ValueError, match="bogus"):
+            run_spark(spark, comm_gg, 0.85, 9, strategy="bogus")
 
 
 def test_spark_small_dataset_matches_serial(spark):

@@ -32,6 +32,14 @@ class TestBuild:
         g = GlobalGraph.from_edges([(1, 1), (0, 1)])
         assert g.adj[1] == {0}
 
+    @pytest.mark.parametrize("edges", [
+        [(-1, 0), (0, 1), (1, 2)],
+        pd.DataFrame({"src": [0, 1], "dst": [1, -2]}),
+    ])
+    def test_negative_ids_rejected(self, edges):
+        with pytest.raises(ValueError, match="negative"):
+            GlobalGraph.from_edges(edges)
+
 
 class TestKCore:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -125,8 +133,9 @@ class TestSpawnTask:
         assert spawned > 0
 
     def test_induce_local_roundtrip(self, gg):
-        verts = set(list(gg.adj[5])[:3]) | {5}
+        verts = [5, *sorted(gg.adj[5])[:3][::-1]]  # local ids keep this order
         g, ids = gg.induce_local(verts)
+        assert ids == verts
         for i, u in enumerate(ids):
             for j, w in enumerate(ids):
                 assert g.has_edge(i, j) == (w in gg.adj[u])
