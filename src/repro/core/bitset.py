@@ -8,7 +8,7 @@ All of ``core/`` operates on these masks.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["mask_of", "bits"]
 
@@ -21,10 +21,12 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit indices of ``mask`` in ascending order."""
+def bits(mask: int) -> list[int]:
+    """The set bit indices of ``mask``, in ascending order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 

@@ -1,9 +1,11 @@
 """Pruning-rule mathematics for Quick+ — Section 6.1 of the paper.
 
-Pure functions over a :class:`~repro.core.graph.LocalGraph` and two
-vertex-set masks ``S`` and ``ext(S)``. Everything here is exact integer
-arithmetic (see :mod:`repro.core.gamma`); the iterative driver that
-applies these rules lives in :mod:`repro.core.quickplus`.
+Every (P3)–(P6) rule reads the same four degree arrays of one pair
+``⟨S, ext(S)⟩``, so one bounding round takes a :class:`Degrees`
+snapshot with :func:`degrees` and the bounds are pure functions of it.
+Everything here is exact integer arithmetic (see :mod:`repro.core.gamma`);
+the iterative driver that applies these rules lives in
+:mod:`repro.core.quickplus`.
 
 Naming follows the paper:
 
@@ -14,11 +16,17 @@ Naming follows the paper:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
+
 from .bitset import bits
 from .gamma import Gamma
 from .graph import LocalGraph
 
 __all__ = [
+    "Degrees",
+    "degrees",
     "upper_bound",
     "lower_bound",
     "critical_vertices",
@@ -27,76 +35,90 @@ __all__ = [
 ]
 
 
-def _sorted_se_prefix(g: LocalGraph, S: int, ext: int) -> list[int]:
-    """Prefix sums of SE-degrees d_S(u), u ∈ ext, sorted non-increasing
-    (the order Lemma 2 requires). prefix[t] = sum of the t largest."""
-    se = sorted((g.adj[u] & S).bit_count() for u in bits(ext))
-    se.reverse()
-    prefix = [0]
-    acc = 0
-    for d in se:
-        acc += d
-        prefix.append(acc)
-    return prefix
+@dataclass(slots=True)
+class Degrees:
+    """The degree arrays of one ``⟨S, ext⟩``: ``d_ss[i]``/``d_es[i]`` are
+    the SS/ES-degrees of ``s_list[i]``, ``d_se[j]`` the SE-degree of
+    ``ext_list[j]``. ``se_prefix[t]`` is the sum of the t largest
+    SE-degrees (the order Lemma 2 requires), shared by U_S and L_S."""
+
+    s_list: list[int]
+    ext_list: list[int]
+    d_ss: list[int]
+    d_es: list[int]
+    d_se: list[int]
+    sum_ss: int
+    se_prefix: list[int]
+
+    def drop_ext(self, g: LocalGraph, removed: int) -> None:
+        """Update in place after the ext vertices in mask ``removed``
+        leave ext(S) (a Type I pruning): S, hence d_ss and the SE-degrees
+        of the survivors, are unchanged."""
+        keep = [j for j, u in enumerate(self.ext_list) if not (removed >> u) & 1]
+        self.ext_list = [self.ext_list[j] for j in keep]
+        self.d_se = [self.d_se[j] for j in keep]
+        adj = g.adj
+        self.d_es = [d - (adj[v] & removed).bit_count()
+                     for v, d in zip(self.s_list, self.d_es)]
+        self.se_prefix = _prefix(self.d_se)
 
 
-def upper_bound(g: LocalGraph, S: int, ext: int, gam: Gamma) -> int | None:
+def _prefix(d_se: list[int]) -> list[int]:
+    return list(accumulate(sorted(d_se, reverse=True), initial=0))
+
+
+def degrees(g: LocalGraph, S: int, ext: int) -> Degrees:
+    """Snapshot the SS, ES and SE degrees of the masks ``S`` and ``ext``."""
+    adj = g.adj
+    s_list = bits(S)
+    ext_list = bits(ext)
+    d_ss = [(adj[v] & S).bit_count() for v in s_list]
+    d_se = [(adj[u] & S).bit_count() for u in ext_list]
+    return Degrees(
+        s_list, ext_list, d_ss, [(adj[v] & ext).bit_count() for v in s_list],
+        d_se, sum(d_ss), _prefix(d_se),
+    )
+
+
+def upper_bound(deg: Degrees, gam: Gamma) -> int | None:
     """U_S of Eq (4), or ``None`` when no valid t exists (a Type II
     pruning of S's *extensions*; G(S) itself stays a candidate).
 
     Requires S non-empty and γ > 0 (the paper's regime is γ ≥ 0.5).
     """
-    s = S.bit_count()
-    n_ext = ext.bit_count()
-    d_min = min(
-        (g.adj[v] & S).bit_count() + (g.adj[v] & ext).bit_count()
-        for v in bits(S)
-    )
-    u_min = gam.floor_div(d_min) + 1 - s  # Eq (3)
-    u_cap = min(u_min, n_ext)
-    if u_cap < 1:
-        return None
-    sum_ss = sum((g.adj[v] & S).bit_count() for v in bits(S))
-    prefix = _sorted_se_prefix(g, S, ext)
+    s = len(deg.s_list)
+    d_min = min(map(add, deg.d_ss, deg.d_es))
+    u_cap = min(gam.floor_div(d_min) + 1 - s, len(deg.ext_list))  # Eq (3)
+    prefix = deg.se_prefix
     for t in range(u_cap, 0, -1):  # Eq (4): the max t satisfying Lemma 2
-        if sum_ss + prefix[t] >= s * gam.ceil_mul(s + t - 1):
+        if deg.sum_ss + prefix[t] >= s * gam.ceil_mul(s + t - 1):
             return t
     return None
 
 
-def lower_bound(g: LocalGraph, S: int, ext: int, gam: Gamma) -> int | None:
+def lower_bound(deg: Degrees, gam: Gamma) -> int | None:
     """L_S of Eq (8), or ``None`` when no valid t exists (a Type II
     pruning of S *and* its extensions)."""
-    s = S.bit_count()
-    n_ext = ext.bit_count()
-    d_s_min = min((g.adj[v] & S).bit_count() for v in bits(S))
-    l_min = None
-    for t in range(0, n_ext + 1):  # Eq (7)
-        if d_s_min + t >= gam.ceil_mul(s + t - 1):
-            l_min = t
+    s = len(deg.s_list)
+    n_ext = len(deg.ext_list)
+    d_s_min = min(deg.d_ss)
+    for l_min in range(0, n_ext + 1):  # Eq (7)
+        if d_s_min + l_min >= gam.ceil_mul(s + l_min - 1):
             break
-    if l_min is None:
+    else:
         return None
-    sum_ss = sum((g.adj[v] & S).bit_count() for v in bits(S))
-    prefix = _sorted_se_prefix(g, S, ext)
+    prefix = deg.se_prefix
     for t in range(l_min, n_ext + 1):  # Eq (8): the min t satisfying Lemma 2
-        if sum_ss + prefix[t] >= s * gam.ceil_mul(s + t - 1):
+        if deg.sum_ss + prefix[t] >= s * gam.ceil_mul(s + t - 1):
             return t
     return None
 
 
-def critical_vertices(
-    g: LocalGraph, S: int, ext: int, gam: Gamma, l_s: int
-) -> list[int]:
-    """Definition 4: v ∈ S with d_S(v) + d_ext(v) == ceil(γ(|S|+L_S-1)).
-    Any valid extension must then absorb all of N_ext(v) (Theorem 9)."""
-    s = S.bit_count()
-    need = gam.ceil_mul(s + l_s - 1)
-    out = []
-    for v in bits(S):
-        if (g.adj[v] & S).bit_count() + (g.adj[v] & ext).bit_count() == need:
-            out.append(v)
-    return out
+def critical_vertices(deg: Degrees, need: int) -> list[int]:
+    """Definition 4: v ∈ S with d_S(v) + d_ext(v) == ``need``, where
+    need = ceil(γ(|S|+L_S-1)). Any valid extension must then absorb all
+    of N_ext(v) (Theorem 9)."""
+    return [v for v, a, b in zip(deg.s_list, deg.d_ss, deg.d_es) if a + b == need]
 
 
 def cover_set(g: LocalGraph, S: int, ext: int, gam: Gamma, u: int) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Gamma", "make_gamma"]
+__all__ = ["Gamma", "make_gamma", "mining_gamma"]
 
 
 class Gamma:
@@ -68,3 +68,14 @@ def make_gamma(gamma: float | str | Fraction | Gamma) -> Gamma:
     if isinstance(gamma, str):
         return Gamma(Fraction(gamma))
     return Gamma(Fraction(gamma).limit_denominator(10000))
+
+
+def mining_gamma(gamma: float | str | Fraction | Gamma) -> Gamma:
+    """:func:`make_gamma` for a mining job, which needs γ ∈ [1/2, 1]:
+    (P1) searches only within two hops of each vertex, and a
+    γ-quasi-clique has diameter ≤ 2 only when γ ≥ 1/2. Below that the
+    miner would silently miss results, so the value is rejected."""
+    gam = make_gamma(gamma)
+    if 2 * gam.num < gam.den:
+        raise ValueError(f"gamma must be in [0.5, 1] for mining, got {gamma}")
+    return gam

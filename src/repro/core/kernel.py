@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bitset import mask_of
-from .gamma import make_gamma
+from .gamma import make_gamma, mining_gamma
 from .postprocess import maximal_only
 from .quickplus import QUICK_PLUS, Miner
 from ..graphs.global_graph import GlobalGraph
@@ -78,6 +78,8 @@ def kernel_expansion(
 ) -> KernelResult:
     """Full [31] pipeline with parameter quadruple (γ', k', γ, k)."""
     from ..gthinker.engine import run_serial  # local import: avoid cycle
+
+    gamma_prime, gamma = mining_gamma(gamma_prime), mining_gamma(gamma)
 
     out = KernelResult()
     t0 = time.perf_counter()

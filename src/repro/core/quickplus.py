@@ -25,7 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 from .bitset import bits
-from .bounds import best_cover_vertex, critical_vertices, lower_bound, upper_bound
+from .bounds import (
+    best_cover_vertex, critical_vertices, degrees, lower_bound, upper_bound,
+)
 from .gamma import Gamma, make_gamma
 from .graph import LocalGraph
 
@@ -59,7 +61,23 @@ QUICK_ORIGINAL = MineConfig(
 
 @dataclass
 class MineStats:
-    """Counters + per-phase timers (Table 16) for one mining run."""
+    """Counters + per-phase timers (Table 16) for one mining run.
+
+    What each timer covers:
+
+    * ``t_bounds`` — Algorithm 2's degree snapshots (a fresh
+      :func:`~repro.core.bounds.degrees` when S changes, the in-place
+      :meth:`~repro.core.bounds.Degrees.drop_ext` after a Type I
+      removal) and U_S / L_S computed from them.
+    * ``t_critical`` — finding the critical vertices (P6) in the
+      snapshot and collecting the ext neighbours they force into S.
+    * ``t_cover`` — choosing the (P7) cover vertex and its C_S(u).
+    * ``t_lookahead`` — the G(S ∪ ext) quasi-clique test of Algorithm 3.
+
+    The Type I/II rule loops, ext ordering, the (P1) two-hop shrink,
+    the G(S) checks and the recursion itself are untimed: they are the
+    rest of the task's mining time.
+    """
 
     n_emitted: int = 0
     n_recursive_calls: int = 0
@@ -102,7 +120,6 @@ class Miner:
     def __post_init__(self):
         self.gamma = make_gamma(self.gamma)
         self._two_hop_cache: dict[int, int] = {}
-        self._alive = (1 << self.g.n) - 1
 
     # ------------------------------------------------------------ util
     def _two_hop(self, v: int) -> int:
@@ -119,9 +136,13 @@ class Miner:
         if s == 0:
             return False
         need = self.gamma.ceil_mul(s - 1)
-        for v in bits(mask):
-            if (self.g.adj[v] & mask).bit_count() < need:
+        adj = self.g.adj
+        rest = mask
+        while rest:  # exits at the first short vertex, without listing them all
+            low = rest & -rest
+            if (adj[low.bit_length() - 1] & mask).bit_count() < need:
                 return False
+            rest ^= low
         if 2 * self.gamma.num < self.gamma.den and not self.g.connected(mask):
             return False
         return True
@@ -158,11 +179,14 @@ class Miner:
         ext' != 0 when ``pruned`` is false. Emits G(S) on the boundary
         paths exactly as Quick+ specifies."""
         gam, g, stats = self.gamma, self.g, self.stats
+        deg = None
         while True:
             # --- bounds (P4, P5); Type II may fire here (boundary fix)
             t0 = self.clock()
-            u_s = upper_bound(g, S, ext, gam)
-            l_s = lower_bound(g, S, ext, gam)
+            if deg is None:
+                deg = degrees(g, S, ext)
+            u_s = upper_bound(deg, gam)
+            l_s = lower_bound(deg, gam)
             stats.t_bounds += self.clock() - t0
             if l_s is None:
                 stats.n_type2_pruned += 1
@@ -177,10 +201,11 @@ class Miner:
                 return True, S, ext  # L_S ≥ 1 here, so S itself invalid
 
             # --- critical vertices (P6), batched in Quick+
+            s = len(deg.s_list)
+            need_l = gam.ceil_mul(s + l_s - 1)  # Def 4, Thm 7 and Thm 8
             t0 = self.clock()
-            crit = critical_vertices(g, S, ext, gam, l_s)
             moved = 0
-            for v in crit:
+            for v in critical_vertices(deg, need_l):
                 m = g.adj[v] & ext
                 moved |= m
                 if m and not self.cfg.multi_critical:
@@ -196,21 +221,18 @@ class Miner:
                 stats.n_critical_moves += 1
                 if ext == 0:
                     break  # fall through to the empty-ext epilogue
-                continue  # degrees/bounds changed: restart the round
+                deg = None  # S changed: re-snapshot and restart the round
+                continue
 
             # --- Type II rules (Theorems 4, 6, 8)
-            s = S.bit_count()
+            need_u = gam.ceil_mul(s + u_s - 1)  # Thm 5 and Thm 6
             ext_only_pruned = False
-            for v in bits(S):
-                d_ss = (g.adj[v] & S).bit_count()
-                d_es = (g.adj[v] & ext).bit_count()
-                if d_ss + d_es < gam.ceil_mul(s - 1 + d_es):  # Thm 4(ii)
-                    stats.n_type2_pruned += 1
-                    return True, S, ext
-                if d_ss + u_s < gam.ceil_mul(s + u_s - 1):  # Thm 6
-                    stats.n_type2_pruned += 1
-                    return True, S, ext
-                if d_ss + d_es < gam.ceil_mul(s + l_s - 1):  # Thm 8
+            for d_ss, d_es in zip(deg.d_ss, deg.d_es):
+                if (
+                    d_ss + d_es < gam.ceil_mul(s - 1 + d_es)  # Thm 4(ii)
+                    or d_ss + u_s < need_u  # Thm 6
+                    or d_ss + d_es < need_l  # Thm 8
+                ):
                     stats.n_type2_pruned += 1
                     return True, S, ext
                 if d_es == 0 and d_ss < gam.ceil_mul(s):  # Thm 4(i)
@@ -221,22 +243,23 @@ class Miner:
 
             # --- Type I rules (Theorems 3, 5, 7); EE-degrees only here
             removed = 0
-            for u in bits(ext):
-                d_se = (g.adj[u] & S).bit_count()
+            for u, d_se in zip(deg.ext_list, deg.d_se):
                 d_ee = (g.adj[u] & ext).bit_count()
                 if (
                     d_se + d_ee < gam.ceil_mul(s + d_ee)  # Thm 3
-                    or d_se + u_s - 1 < gam.ceil_mul(s + u_s - 1)  # Thm 5
-                    or d_se + d_ee < gam.ceil_mul(s + l_s - 1)  # Thm 7
+                    or d_se + u_s - 1 < need_u  # Thm 5
+                    or d_se + d_ee < need_l  # Thm 7
                 ):
                     removed |= 1 << u
-            if removed:
-                ext &= ~removed
-                stats.n_type1_pruned += removed.bit_count()
-            if ext == 0:
-                break
             if not removed:
                 return False, S, ext  # case C2: stable, extendable
+            ext &= ~removed
+            stats.n_type1_pruned += removed.bit_count()
+            if ext == 0:
+                break
+            t0 = self.clock()
+            deg.drop_ext(g, removed)  # S unchanged: update, not re-snapshot
+            stats.t_bounds += self.clock() - t0
 
         # case C1: ext exhausted — examine G(S) itself (Alg 2 lines 22–25)
         self._emit_if_valid(S)

@@ -42,7 +42,7 @@ from functools import partial
 import pandas as pd
 
 from ..core.bitset import bits
-from ..core.gamma import make_gamma
+from ..core.gamma import make_gamma, mining_gamma
 from ..core.postprocess import timed_maximal_only
 from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
 from ..graphs.global_graph import GlobalGraph
@@ -139,7 +139,7 @@ def _run_job(executor, gg: GlobalGraph, gamma, tau_size: int, *, strategy: str,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     t_start = time.perf_counter()
-    gam = make_gamma(gamma)
+    gam = mining_gamma(gamma)
     pruned, roots = spawn_all(gg, gam, tau_size, cfg)
     job = JobResult(n_root_tasks=len(roots))
     pending = [([t.root], [t.ids[i] for i in bits(t.ext_mask)]) for t in roots]

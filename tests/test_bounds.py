@@ -15,6 +15,7 @@ from repro.core.bounds import (
     best_cover_vertex,
     cover_set,
     critical_vertices,
+    degrees,
     lower_bound,
     upper_bound,
 )
@@ -56,6 +57,27 @@ def valid_extensions(g, S, ext, gam):
     return out
 
 
+class TestDegrees:
+    @given(graph_split(), st.integers(0, 2**11 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_drop_ext_equals_fresh_snapshot(self, gs, drop):
+        """The in-place update after a Type I removal is the snapshot a
+        fresh degrees() call takes of the smaller ext."""
+        g, S, ext, _ = gs
+        removed = ext & drop
+        deg = degrees(g, S, ext)
+        deg.drop_ext(g, removed)
+        assert deg == degrees(g, S, ext & ~removed)
+
+    def test_snapshot_of_path(self):
+        # path 0-1-2-3 with S = {1, 2}, ext = {0, 3}
+        g = LocalGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        deg = degrees(g, mask_of({1, 2}), mask_of({0, 3}))
+        assert (deg.s_list, deg.d_ss, deg.d_es) == ([1, 2], [1, 1], [1, 1])
+        assert (deg.ext_list, deg.d_se) == ([0, 3], [1, 1])
+        assert deg.sum_ss == 2 and deg.se_prefix == [0, 1, 2]
+
+
 class TestUpperBound:
     @given(graph_split())
     @settings(max_examples=150, deadline=None)
@@ -63,7 +85,7 @@ class TestUpperBound:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        u_s = upper_bound(g, S, ext, gam)
+        u_s = upper_bound(degrees(g, S, ext), gam)
         for z in valid_extensions(g, S, ext, gam):
             if z.bit_count() >= 1:
                 assert u_s is not None and z.bit_count() <= u_s, (
@@ -72,7 +94,7 @@ class TestUpperBound:
 
     def test_clique_allows_full_extension(self):
         g = LocalGraph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-        u_s = upper_bound(g, mask_of({0}), mask_of({1, 2, 3}), make_gamma(1.0))
+        u_s = upper_bound(degrees(g, mask_of({0}), mask_of({1, 2, 3})), make_gamma(1.0))
         assert u_s == 3
 
 
@@ -83,7 +105,7 @@ class TestLowerBound:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        l_s = lower_bound(g, S, ext, gam)
+        l_s = lower_bound(degrees(g, S, ext), gam)
         for z in valid_extensions(g, S, ext, gam):
             assert l_s is not None and z.bit_count() >= l_s, (
                 f"valid extension of size {z.bit_count()} below L_S={l_s}"
@@ -91,7 +113,7 @@ class TestLowerBound:
 
     def test_quasi_clique_s_gives_zero(self):
         g = LocalGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert lower_bound(g, mask_of({0, 1, 2}), 0, make_gamma(0.5)) == 0
+        assert lower_bound(degrees(g, mask_of({0, 1, 2}), 0), make_gamma(0.5)) == 0
 
 
 class TestCriticalVertex:
@@ -103,10 +125,12 @@ class TestCriticalVertex:
         g, S, ext, gam = gs
         if gam.num == 0 or ext == 0:
             return
-        l_s = lower_bound(g, S, ext, gam)
+        deg = degrees(g, S, ext)
+        l_s = lower_bound(deg, gam)
         if l_s is None:
             return
-        for v in critical_vertices(g, S, ext, gam, l_s):
+        need = gam.ceil_mul(S.bit_count() + l_s - 1)
+        for v in critical_vertices(deg, need):
             nbrs = g.adj[v] & ext
             for z in valid_extensions(g, S, ext, gam):
                 if z != 0:  # strict extension

@@ -1,6 +1,7 @@
 """Serial engine driver invariants (repro/gthinker/engine.py)."""
 import pytest
 
+from repro.core.kernel import kernel_expansion
 from repro.core.quickplus import MineConfig
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
@@ -86,3 +87,18 @@ class TestDatasetSmoke:
         split = run_serial(gg, spec.gamma, spec.tau_size, strategy="split",
                            tau_split=spec.tau_split)
         assert split.maximal == base.maximal
+
+
+class TestGammaRange:
+    """(P1)'s two-hop restriction needs γ ≥ 0.5: on a 6-cycle at γ = 0.3
+    the whole cycle is the one maximal quasi-clique, which a two-hop
+    search cannot reach, so the job must refuse to run."""
+
+    @pytest.mark.parametrize("gamma", [0, 0.3, 0.49])
+    def test_gamma_below_half_rejected(self, gamma):
+        cycle = GlobalGraph.from_edges([(i, (i + 1) % 6) for i in range(6)])
+        with pytest.raises(ValueError, match="gamma"):
+            run_serial(cycle, gamma, 3)
+        with pytest.raises(ValueError, match="gamma"):
+            kernel_expansion(cycle, gamma_prime=1.0, k_prime=1, gamma=gamma,
+                             k=1, tau_size=3)
