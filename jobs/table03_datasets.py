@@ -3,19 +3,11 @@
 
 Usage: spark-submit jobs/table03_datasets.py  (or: python jobs/table03_datasets.py)
 """
-from pyspark.sql import SparkSession
-
 from repro.tables import t03_datasets
 
 
 def main():
-    spark = (
-        SparkSession.builder.appName("table03_datasets")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    t03_datasets.run(spark)
-    spark.stop()
+    t03_datasets.run()
 
 
 if __name__ == "__main__":

@@ -3,19 +3,11 @@
 
 Usage: spark-submit jobs/table11_kernel_gthinker.py  (or: python jobs/table11_kernel_gthinker.py)
 """
-from pyspark.sql import SparkSession
-
 from repro.tables import t09_11_kernel
 
 
 def main():
-    spark = (
-        SparkSession.builder.appName("table11_kernel_gthinker")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
     t09_11_kernel.run_t11()
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -3,19 +3,11 @@
 
 Usage: spark-submit jobs/table15_quick_vs_quickplus.py  (or: python jobs/table15_quick_vs_quickplus.py)
 """
-from pyspark.sql import SparkSession
-
 from repro.tables import t15_16_quick
 
 
 def main():
-    spark = (
-        SparkSession.builder.appName("table15_quick_vs_quickplus")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
     t15_16_quick.run_t15()
-    spark.stop()
 
 
 if __name__ == "__main__":

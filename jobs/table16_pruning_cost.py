@@ -3,19 +3,11 @@
 
 Usage: spark-submit jobs/table16_pruning_cost.py  (or: python jobs/table16_pruning_cost.py)
 """
-from pyspark.sql import SparkSession
-
 from repro.tables import t15_16_quick
 
 
 def main():
-    spark = (
-        SparkSession.builder.appName("table16_pruning_cost")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
     t15_16_quick.run_t16()
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -57,16 +57,6 @@ class LocalGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    # ------------------------------------------------------ subgraph
-    def induce(self, vertex_mask: int) -> "LocalGraph":
-        """Induced subgraph on the same id space (vertices outside the
-        mask become isolated). Keeping the id space fixed lets masks be
-        compared across a task tree without renumbering."""
-        g = LocalGraph(self.n)
-        for v in bits(vertex_mask):
-            g.adj[v] = self.adj[v] & vertex_mask
-        return g
-
     # --------------------------------------------------------- k-core
     def kcore_mask(self, k: int, within: int | None = None) -> int:
         """Vertex mask of the k-core (restricted to ``within`` if given),

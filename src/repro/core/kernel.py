@@ -59,7 +59,7 @@ def _expand_kernel(gg: GlobalGraph, kernel: frozenset[int], gamma, tau_size):
     if ext_mask:
         pruned, s_mask, ext_mask = miner.iterative_bounding(s_mask, ext_mask)
     if not pruned and ext_mask:
-        found = miner.recursive_mine(s_mask, ext_mask)
+        found = miner.mine(s_mask, ext_mask)
         if not found:
             miner._emit_if_valid(s_mask)
     else:

@@ -6,18 +6,19 @@ One :class:`Miner` instance mines one *task subgraph* (a compact-id
 * ``iterative_bounding`` — Algorithm 2: the fixed-point loop over the
   (P3)–(P6) rules, including the critical-vertex movement and the
   boundary cases Quick+ fixes.
-* ``recursive_mine`` — Algorithm 3: cover-vertex ordering (P7),
-  lookahead, diameter shrink (P1), recursion.
-* ``time_delayed`` — Algorithm 10: same control flow, but once the
-  elapsed time passes ``tau_time`` every remaining branch is wrapped
-  into a subtask via ``subtask_sink`` (Figure 9).
-* ``split_level`` — Algorithm 8 lines 3–23: one level of eager
-  decomposition when ``|ext(S)| > tau_split``.
+* ``mine`` — Algorithm 3: cover-vertex ordering (P7), lookahead,
+  diameter shrink (P1), recursion. Two hooks turn surviving branches
+  into subtasks (``Miner.subtasks``) instead of recursing: ``split``
+  for one level of eager decomposition (Algorithm 8 lines 3–23) and
+  ``deadline`` for the timeout decomposition once ``clock()`` passes it
+  (Algorithm 10, Figure 9).
 
-The original Quick algorithm (for Table 15) is emulated with
-:class:`MineConfig` flags that disable exactly the Quick+ additions the
-paper lists: multi-critical-vertex batching, the G(S) checks on the
-boundary/empty-ext paths, and the boundary handling in U_S/L_S.
+The original Quick algorithm (for Table 15) is emulated by
+``MineConfig(quick_plus=False)``, which disables exactly the Quick+
+additions the paper lists: multi-critical-vertex batching, the G(S)
+checks on the boundary/empty-ext paths, the boundary handling in
+U_S/L_S, the degenerate top-level cover rule and the lookahead-friendly
+ext order.
 """
 from __future__ import annotations
 
@@ -36,27 +37,17 @@ __all__ = ["MineConfig", "MineStats", "Miner", "QUICK_PLUS", "QUICK_ORIGINAL"]
 
 @dataclass(frozen=True)
 class MineConfig:
-    """Algorithm switches. Defaults = Quick+; ``QUICK_ORIGINAL`` turns
-    off each improvement the paper credits to Quick+ (Section 6.2
-    summary and Table 15 discussion)."""
+    """``quick_plus`` = Quick+; off, the original Quick (Section 6.2
+    summary and Table 15 discussion): one critical vertex moved per
+    bounding round, no G(S) check before a critical move, on an empty
+    ext or when U_S has no valid t, no degenerate (P7) top-level rule,
+    and ext in id order instead of ascending d_S."""
 
-    multi_critical: bool = True  # move all critical vertices per round
-    check_s_on_empty_ext: bool = True  # Alg 3 lines 13–16 (Quick misses)
-    check_s_before_critical: bool = True  # emit G(S) before critical move
-    bound_boundary_emit: bool = True  # emit G(S) when U_S has no valid t
-    degenerate_cover: bool = True  # top-level v_max rule of (P7)
-    sort_ext: bool = True  # ascending d_S order for lookahead success
+    quick_plus: bool = True
 
 
 QUICK_PLUS = MineConfig()
-QUICK_ORIGINAL = MineConfig(
-    multi_critical=False,
-    check_s_on_empty_ext=False,
-    check_s_before_critical=False,
-    bound_boundary_emit=False,
-    degenerate_cover=False,
-    sort_ext=False,  # the ascending-d_S lookahead ordering is a Quick+ addition
-)
+QUICK_ORIGINAL = MineConfig(quick_plus=False)
 
 
 @dataclass
@@ -161,7 +152,7 @@ class Miner:
         d_ext — so high-degree vertices stay in ext longer, maximizing
         lookahead hits."""
         vs = list(bits(ext))
-        if self.cfg.sort_ext:
+        if self.cfg.quick_plus:
             vs.sort(
                 key=lambda u: (
                     (self.g.adj[u] & S).bit_count(),
@@ -193,7 +184,7 @@ class Miner:
                 return True, S, ext  # S and extensions pruned, no emit
             if u_s is None:
                 stats.n_type2_pruned += 1
-                if self.cfg.bound_boundary_emit:
+                if self.cfg.quick_plus:
                     self._emit_if_valid(S)  # extensions pruned, S examined
                 return True, S, ext
             if u_s < l_s:
@@ -208,11 +199,11 @@ class Miner:
             for v in critical_vertices(deg, need_l):
                 m = g.adj[v] & ext
                 moved |= m
-                if m and not self.cfg.multi_critical:
+                if m and not self.cfg.quick_plus:
                     break  # Quick moves one critical vertex per round
             stats.t_critical += self.clock() - t0
             if moved:
-                if self.cfg.check_s_before_critical:
+                if self.cfg.quick_plus:
                     # Quick+ fix: G(S) may be maximal if the forced
                     # expansion leads nowhere — examine it first.
                     self._emit_if_valid(S)
@@ -265,28 +256,15 @@ class Miner:
         self._emit_if_valid(S)
         return True, S, ext
 
-    # ------------------------------------------------- Algorithm 3
-    def recursive_mine(self, S: int, ext: int) -> bool:
-        """Depth-first set-enumeration mining; returns True iff some
-        valid quasi-clique strictly extending S was emitted."""
-        return self._mine_loop(S, ext, deadline=None, split=None)
-
-    # ------------------------------------------------ Algorithm 10
-    def time_delayed(self, S: int, ext: int, deadline: float) -> bool:
-        """Timeout-based decomposition: behaves like recursive_mine
-        until ``clock() > deadline``, after which every surviving branch
-        is wrapped as a subtask (appended to ``self.subtasks``)."""
-        return self._mine_loop(S, ext, deadline=deadline, split=None)
-
-    # ------------------------------------------------- Algorithm 8
-    def split_level(self, S: int, ext: int) -> bool:
-        """One level of eager decomposition (A_split's big-task path):
-        children go to ``self.subtasks`` instead of being recursed."""
-        return self._mine_loop(S, ext, deadline=None, split=True)
-
-    def _mine_loop(
-        self, S: int, ext: int, deadline: float | None, split: bool | None
-    ) -> bool:
+    # ------------------------------------------- Algorithms 3, 8, 10
+    def mine(self, S: int, ext: int, *, deadline: float | None = None,
+             split: bool = False) -> bool:
+        """Depth-first set-enumeration mining of ⟨S, ext⟩; returns True
+        iff some valid quasi-clique strictly extending S was emitted.
+        With ``split`` (A_split's big-task path), every child of this
+        call becomes a subtask; with a ``deadline`` (A_time), every
+        branch that survives bounding after ``clock() > deadline``
+        does."""
         gam, g, stats = self.gamma, self.g, self.stats
         stats.n_recursive_calls += 1
         found = False
@@ -315,7 +293,7 @@ class Miner:
             ext_new = ext & self._two_hop(v)  # (P1) diameter shrink
 
             if ext_new == 0:
-                if self.cfg.check_s_on_empty_ext:  # Quick+ fix (missed by Quick)
+                if self.cfg.quick_plus:  # Quick+ fix (missed by Quick)
                     if self._emit_if_valid(s_new):
                         found = True
                 continue
@@ -335,7 +313,7 @@ class Miner:
                 self._emit_if_valid(s2)
                 continue
 
-            sub_found = self._mine_loop(s2, ext2, deadline, split=None)
+            sub_found = self.mine(s2, ext2, deadline=deadline)
             found = found or sub_found
             if not sub_found:  # Alg 3 lines 23–25
                 if self._emit_if_valid(s2):

@@ -4,14 +4,13 @@
 graph: set-based adjacency over global vertex ids. It implements the
 preprocessing the paper applies before mining — (P2) k-core shrink,
 the two-hop-size prune of Section 8, and the (P7) degenerate
-cover-vertex vertex ordering — plus construction of the per-vertex
-spawn tasks (the k-core of the 2-hop ego network restricted to
-higher-ordered vertices, Algorithms 4–7 collapsed into one local step
-since the whole pruned graph is available via broadcast).
+cover-vertex vertex ordering — plus the per-vertex spawn of root tasks
+(the k-core of the 2-hop ego network restricted to higher-ordered
+vertices, Algorithms 4–7 collapsed into one set-based step since the
+whole pruned graph is available via broadcast), and the induction of a
+task's compact subgraph when the task runs.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -19,18 +18,7 @@ import pandas as pd
 from ..core.gamma import Gamma, make_gamma
 from ..core.graph import LocalGraph
 
-__all__ = ["GlobalGraph", "SpawnTask"]
-
-
-@dataclass
-class SpawnTask:
-    """A root task: compact subgraph + id map + initial (S, ext) masks."""
-
-    root: int  # global id
-    graph: LocalGraph  # compact ids 0..k-1
-    ids: list[int]  # compact -> global id
-    s_mask: int
-    ext_mask: int
+__all__ = ["GlobalGraph"]
 
 
 class GlobalGraph:
@@ -77,9 +65,13 @@ class GlobalGraph:
         return sum(len(a) for a in self.adj) // 2
 
     # ------------------------------------------------- preprocessing
-    def kcore_vertices(self, k: int) -> set[int]:
-        """Peeling k-core over the whole graph (P2 preprocessing)."""
-        deg = {v: len(self.adj[v]) for v in range(self.n) if self.adj[v]}
+    def kcore_vertices(self, k: int, within: set[int] | None = None) -> set[int]:
+        """Peeling k-core of the whole graph (P2 preprocessing), or of the
+        subgraph induced by ``within``."""
+        if within is None:
+            deg = {v: len(self.adj[v]) for v in range(self.n) if self.adj[v]}
+        else:
+            deg = {v: len(self.adj[v] & within) for v in within}
         stack = [v for v, d in deg.items() if d < k]
         alive = set(deg)
         while stack:
@@ -158,10 +150,11 @@ class GlobalGraph:
         alive: set[int],
         gamma: Gamma | float,
         tau_size: int,
-    ) -> SpawnTask | None:
-        """Build the root task for spawn vertex v (Algorithms 4–7):
-        2-hop ego network over higher-ranked alive vertices, shrunk to
-        its k-core; None if v itself drops out (task pruned)."""
+    ) -> list[int] | None:
+        """Root task ⟨S = {v}, ext⟩ for spawn vertex v (Algorithms 4–7):
+        the 2-hop ego network over higher-ranked alive vertices, shrunk
+        to its k-core. Returns ext in rank order, or None if the task is
+        pruned."""
         gam = make_gamma(gamma)
         k = gam.ceil_mul(tau_size - 1)
         if v not in alive or len(self.adj[v] & alive) < k:
@@ -170,21 +163,17 @@ class GlobalGraph:
         scope = {u for u in self.two_hop(v, alive) if u == v or rank[u] > rv}
         if len(scope) < tau_size:
             return None
-        g, ids = self.induce_local(sorted(scope, key=lambda u: rank[u]))
-        core = g.kcore_mask(k)
-        s_mask = 1  # v ranks lowest in its scope: local vertex 0
-        if not core & s_mask:
-            return None
-        gsub = g.induce(core)
-        ext_mask = core & ~s_mask
-        if ext_mask == 0 or core.bit_count() < tau_size:
-            return None
-        return SpawnTask(root=v, graph=gsub, ids=ids, s_mask=s_mask, ext_mask=ext_mask)
+        core = self.kcore_vertices(k, within=scope)
+        if v not in core or len(core) < max(tau_size, 2):
+            return None  # v dropped out, too small, or ext empty
+        core.remove(v)
+        return sorted(core, key=rank.__getitem__)
 
     def induce_local(self, vertices) -> tuple[LocalGraph, list[int]]:
-        """Compact LocalGraph induced by global-id ``vertices`` (used to
-        materialize task subgraphs, Alg 8 line 19), plus the compact →
-        global id table: local vertex i is the i-th vertex iterated."""
+        """Compact LocalGraph induced by global-id ``vertices`` (a task's
+        subgraph, pulled when the task runs, Alg 8 line 19), plus the
+        compact → global id table: local vertex i is the i-th vertex
+        iterated."""
         ids = list(vertices)
         within = set(ids)
         pos = {u: i for i, u in enumerate(ids)}

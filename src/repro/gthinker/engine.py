@@ -1,15 +1,16 @@
 """The redesigned G-thinker execution engine, reproduced on PySpark.
 
-A task is ⟨S, ext(S)⟩ as two lists of global vertex ids. Root tasks
-list ext in mining-rank order and subtasks list it by ascending id; S
-starts with the task tree's spawn vertex. One executor
-(:func:`_execute_task`) runs every task, root or subtask: it induces
-the task subgraph from the pruned graph, local vertex i being
-``(S + ext)[i]``, runs :func:`repro.gthinker.tasks.run_task` and returns
-one per-task record. Both drivers share one round loop — spawn the
-root tasks; per round, sort the pending tasks by |ext| descending,
-execute them, merge the records and queue their subtasks; finally drop
-the non-maximal results — and differ only in how a round executes:
+A task is ⟨S, ext(S)⟩ as two lists of global vertex ids, from spawn to
+record. Root tasks are ⟨[v], ext⟩ with ext in mining-rank order, as
+:func:`spawn_all` returns them; subtasks list ext by ascending id; S
+starts with the task tree's spawn vertex. :func:`run_task` runs every
+task, root or subtask: it induces the task subgraph from the pruned
+graph, local vertex i being ``(S + ext)[i]``, mines it under one of the
+paper's three strategies and returns one per-task record in global
+ids. Both drivers share one round loop — spawn the root tasks; per
+round, sort the pending tasks by |ext| descending, run them, merge the
+records and queue their subtasks; finally drop the non-maximal
+results — and differ only in how a round executes:
 
 * :func:`run_serial` — in this process; the single-threaded reference
   (the paper's "serial mining time").
@@ -44,11 +45,13 @@ import pandas as pd
 from ..core.bitset import bits
 from ..core.gamma import make_gamma, mining_gamma
 from ..core.postprocess import timed_maximal_only
-from ..core.quickplus import QUICK_PLUS, MineConfig, MineStats
+from ..core.quickplus import QUICK_PLUS, MineConfig, Miner, MineStats
 from ..graphs.global_graph import GlobalGraph
-from .tasks import STRATEGIES, run_task
 
-__all__ = ["JobResult", "deal_round", "run_serial", "run_spark", "spawn_all"]
+__all__ = ["JobResult", "deal_round", "run_serial", "run_spark", "run_task",
+           "spawn_all"]
+
+STRATEGIES = ("base", "split", "time")
 
 _LISTS = ["results", "sub_s", "sub_ext"]  # shipped back, merged, then dropped
 _SCALARS = ["root", "mine_s", "mat_s", *(f.name for f in fields(MineStats))]
@@ -91,44 +94,68 @@ def spawn_all(
     gg: GlobalGraph, gamma, tau_size: int, cfg: MineConfig = QUICK_PLUS
 ):
     """Preprocess ((P2) k-core + two-hop-size prune), compute the
-    mining order (degenerate (P7) recoding when enabled) and build all
-    root tasks. Returns (pruned GlobalGraph, list[SpawnTask])."""
+    mining order (degenerate (P7) recoding under Quick+) and spawn all
+    root tasks. Returns (pruned GlobalGraph, [(root, ext)]), ext in
+    rank order."""
     gam = make_gamma(gamma)
     pruned = gg.pruned_subgraph(gam, tau_size)
     alive = {v for v in range(pruned.n) if pruned.adj[v]}
-    rank, skip = pruned.mining_order(alive, cfg.degenerate_cover)
-    tasks = []
+    rank, skip = pruned.mining_order(alive, cfg.quick_plus)
+    roots = []
     for v in sorted(alive, key=lambda u: rank[u]):
         if v in skip:
             continue  # (P7) degenerate rule: subsets of N(v_max) cannot be maximal
-        t = pruned.spawn_task(v, rank, alive, gam, tau_size)
-        if t is not None:
-            tasks.append(t)
-    return pruned, tasks
+        ext = pruned.spawn_task(v, rank, alive, gam, tau_size)
+        if ext is not None:
+            roots.append((v, ext))
+    return pruned, roots
 
 
 def _records(rows) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=[*_LISTS, *_SCALARS])
 
 
-def _execute_task(graph: GlobalGraph, s: list[int], ext: list[int], **task_kw) -> dict:
-    """Materialize task ⟨S, ext⟩ from the pruned ``graph`` (counted as
-    materialization, like G-thinker's frontier pulls), run it and
-    return its per-task record."""
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+
+
+def run_task(graph: GlobalGraph, s: list[int], ext: list[int], *, gamma, tau_size: int,
+             strategy: str, tau_split: int, tau_time: float, cfg: MineConfig) -> dict:
+    """Run task ⟨S, ext⟩ — iteration 3 of UDF compute() (Algorithms
+    8–10) — on the pruned ``graph`` and return its per-task record.
+
+    ``strategy``:
+      * ``base``  — Algorithm 3 in full (no decomposition).
+      * ``split`` — Algorithm 8: decompose one level iff
+        |ext(S)| > τ_split, else mine serially.
+      * ``time``  — Algorithms 9/10: mine with a τ_time budget; on
+        timeout every surviving branch becomes a subtask.
+
+    Inducing the task subgraph (G-thinker's frontier pulls) and
+    translating results and subtasks back to global ids (Alg 8 line 19
+    / Alg 10 lines 19–21) count as materialization, ``mat_s``.
+    """
+    _check_strategy(strategy)
     t0 = time.perf_counter()
     g, ids = graph.induce_local(s + ext)
     s_mask = (1 << len(s)) - 1
-    mat = time.perf_counter() - t0
-    out = run_task(g, ids, s_mask, ((1 << len(ids)) - 1) ^ s_mask, **task_kw)
-    return {
-        "results": [list(r) for r in out.results],
-        "sub_s": [sub[0] for sub in out.subtasks],
-        "sub_ext": [sub[1] for sub in out.subtasks],
+    miner = Miner(g=g, gamma=gamma, tau_size=tau_size, cfg=cfg)
+    t1 = time.perf_counter()
+    miner.mine(s_mask, ((1 << len(ids)) - 1) ^ s_mask,
+               deadline=t1 + tau_time if strategy == "time" else None,
+               split=strategy == "split" and len(ext) > tau_split)
+    t2 = time.perf_counter()
+    rec = {
+        "results": [[ids[i] for i in r] for r in miner.results],
+        "sub_s": [[ids[i] for i in bits(sm)] for sm, _ in miner.subtasks],
+        "sub_ext": [sorted(ids[i] for i in bits(em)) for _, em in miner.subtasks],
         "root": s[0],
-        "mine_s": out.mine_time,
-        "mat_s": mat + out.materialize_time,
-        **asdict(out.stats),
+        "mine_s": t2 - t1,
+        **asdict(miner.stats),
     }
+    rec["mat_s"] = t1 - t0 + time.perf_counter() - t2
+    return rec
 
 
 def _run_job(executor, gg: GlobalGraph, gamma, tau_size: int, *, strategy: str,
@@ -136,13 +163,12 @@ def _run_job(executor, gg: GlobalGraph, gamma, tau_size: int, *, strategy: str,
     """The round loop both engines share; ``executor(pruned, task_kw)``
     is a context manager yielding a function from a round's tasks to
     their records."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    _check_strategy(strategy)
     t_start = time.perf_counter()
     gam = mining_gamma(gamma)
     pruned, roots = spawn_all(gg, gam, tau_size, cfg)
     job = JobResult(n_root_tasks=len(roots))
-    pending = [([t.root], [t.ids[i] for i in bits(t.ext_mask)]) for t in roots]
+    pending = [([v], ext) for v, ext in roots]
     records = []
     if pending:
         task_kw = dict(gamma=gam, tau_size=tau_size, strategy=strategy,
@@ -173,7 +199,7 @@ def _run_job(executor, gg: GlobalGraph, gamma, tau_size: int, *, strategy: str,
 @contextmanager
 def _in_process(pruned: GlobalGraph, task_kw: dict):
     yield lambda tasks: _records(
-        [_execute_task(pruned, s, e, **task_kw) for s, e in tasks]
+        [run_task(pruned, s, e, **task_kw) for s, e in tasks]
     )
 
 
@@ -214,7 +240,7 @@ def _execute_partition(bc, task_kw: dict, batches):
     graph: GlobalGraph = bc.value
     for pdf in batches:
         yield _records([
-            _execute_task(graph, s.tolist(), e.tolist(), **task_kw)
+            run_task(graph, s.tolist(), e.tolist(), **task_kw)
             for s, e in zip(pdf["s"], pdf["ext"])
         ])
 

@@ -1,7 +1,7 @@
 """Tables 1 & 2 — features of the top-10 most expensive tasks.
 
 Runs A_base (per-spawn-vertex tasks, no decomposition), joins each
-root task's subgraph features (from :func:`spawn_all`'s root graphs)
+root task's subgraph features (induced from :func:`spawn_all`'s roots)
 with its time from the job's per-task records, fits the regression
 model of :mod:`repro.analysis.regression` on *all* tasks, and reports
 the 10 longest-running tasks with their predicted times — showing, as
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pandas as pd
 
 from ..analysis.regression import fit_predict_task_times
-from ..graphs.global_graph import SpawnTask
+from ..graphs.global_graph import GlobalGraph
 from ..gthinker.engine import run_serial, run_spark, spawn_all
 from .common import cached_dataset, print_table
 
@@ -20,9 +20,9 @@ COLUMNS = ["num_vertices", "num_edges", "max_degree", "avg_degree",
            "core_number", "task_time_ms", "predicted_ms"]
 
 
-def _features(task: SpawnTask) -> dict:
-    """Subgraph features of one root task."""
-    g = task.graph
+def _features(pruned: GlobalGraph, root: int, ext: list[int]) -> dict:
+    """Subgraph features of root task ⟨[root], ext⟩."""
+    g, _ = pruned.induce_local([root, *ext])
     degs = [g.degree(v) for v in range(g.n) if g.adj[v]]
     n_v = len(degs)
     n_e = sum(degs) // 2
@@ -30,7 +30,7 @@ def _features(task: SpawnTask) -> dict:
     while g.kcore_mask(core + 1) != 0:
         core += 1
     return {
-        "root": task.root,
+        "root": root,
         "num_vertices": n_v,
         "num_edges": n_e,
         "max_degree": max(degs, default=0),
@@ -46,12 +46,13 @@ def task_features(spark, dataset: str, gamma: float) -> pd.DataFrame:
         job = run_serial(gg, gamma, spec.tau_size, strategy="base")
     else:
         job = run_spark(spark, gg, gamma, spec.tau_size, strategy="base")
-    _, roots = spawn_all(gg, gamma, spec.tau_size)
+    pruned, roots = spawn_all(gg, gamma, spec.tau_size)
     times = pd.DataFrame({
         "root": job.tasks["root"],
         "task_time_ms": (job.tasks["mine_s"] + job.tasks["mat_s"]) * 1000.0,
     })
-    return pd.DataFrame(map(_features, roots)).merge(times, on="root")
+    feats = pd.DataFrame(_features(pruned, v, ext) for v, ext in roots)
+    return feats.merge(times, on="root")
 
 
 def run(spark=None, dataset: str = "YouTube", top_n: int = 10,

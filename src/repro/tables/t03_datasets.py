@@ -13,7 +13,7 @@ from ..core.gamma import make_gamma
 from .common import DATASETS, cached_dataset, print_table
 
 
-def run(spark=None) -> tuple[pd.DataFrame, pd.DataFrame]:
+def run() -> tuple[pd.DataFrame, pd.DataFrame]:
     raw_rows, pruned_rows = [], []
     for name, spec in DATASETS.items():
         gg, _ = cached_dataset(name)

@@ -6,10 +6,10 @@ mining time, the cumulative subgraph materialization time (building the
 ratio — the paper's evidence that timeout decomposition's overhead is
 small relative to mining.
 
-Materialization counts every task's re-induction of its subgraph from
-the pruned graph, root tasks included. Building the root tasks' 2-hop
-ego nets (``spawn_all``, on the driver) is part of job time but not of
-TotalMaterialize_s.
+Materialization counts every task's induction of its subgraph from
+the pruned graph, root tasks included. Spawning the root tasks (the
+k-core of each 2-hop ego net, ``spawn_all``, on the driver) is part of
+job time but not of TotalMaterialize_s.
 """
 from __future__ import annotations
 

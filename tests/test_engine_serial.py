@@ -2,7 +2,8 @@
 import pytest
 
 from repro.core.kernel import kernel_expansion
-from repro.core.quickplus import MineConfig
+from repro.core.gamma import make_gamma
+from repro.core.quickplus import QUICK_ORIGINAL
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import edges_pdf, planted_community_graph
 from repro.graphs.global_graph import GlobalGraph
@@ -19,20 +20,26 @@ def comm_gg():
 class TestSpawnAll:
     def test_degenerate_cover_skips_vmax_neighbors(self, comm_gg):
         pruned, roots_plus = spawn_all(comm_gg, 0.85, 8)
-        _, roots_all = spawn_all(comm_gg, 0.85, 8, MineConfig(degenerate_cover=False))
+        _, roots_all = spawn_all(comm_gg, 0.85, 8, QUICK_ORIGINAL)
         assert len(roots_plus) <= len(roots_all)
 
     def test_roots_meet_size_threshold(self, comm_gg):
-        _, roots = spawn_all(comm_gg, 0.85, 8)
-        for t in roots:
-            assert t.graph.n >= 1
-            assert (t.s_mask | t.ext_mask).bit_count() >= 8
-            assert t.s_mask.bit_count() == 1
+        """Every root task has ≥ τ_size vertices and is a k-core."""
+        pruned, roots = spawn_all(comm_gg, 0.85, 8)
+        k = make_gamma(0.85).ceil_mul(8 - 1)
+        assert roots
+        for v, ext in roots:
+            assert len(ext) + 1 >= 8
+            task = {v, *ext}
+            for u in task:
+                assert len(pruned.adj[u] & task) >= k
 
     def test_spawn_masks_disjoint(self, comm_gg):
+        """S = [root] and ext are disjoint, and ext lists each vertex once."""
         _, roots = spawn_all(comm_gg, 0.85, 8)
-        for t in roots:
-            assert t.s_mask & t.ext_mask == 0
+        for v, ext in roots:
+            assert v not in ext
+            assert len(set(ext)) == len(ext)
 
 
 class TestStrategiesAgree:
@@ -48,10 +55,17 @@ class TestStrategiesAgree:
         assert other.maximal == base.maximal
 
     def test_subtask_counters(self, comm_gg):
-        job = run_serial(comm_gg, 0.85, 8, strategy="split", tau_split=1)
-        assert job.n_subtasks >= 0
-        assert job.mine_time > 0
-        assert job.job_time >= job.mine_time * 0  # sanity: fields populated
+        """One record per executed task, root or subtask; the engine's
+        and the miner's subtask counts agree. (On this graph both
+        configurations give 4 roots, 8 subtasks and 3 rounds.)"""
+        for kw in (dict(strategy="split", tau_split=1),
+                   dict(strategy="time", tau_time=0.0)):
+            job = run_serial(comm_gg, 0.85, 8, **kw)
+            assert len(job.tasks) == job.n_root_tasks + job.n_subtasks
+            assert job.stats.n_subtasks == job.n_subtasks > 0
+            assert job.n_rounds > 1
+            assert job.mine_time > 0
+            assert job.job_time >= job.mine_time + job.materialize_time
 
     def test_task_features_collected(self, comm_gg):
         """A_base's per-task records: one per root task, summing to the
@@ -59,7 +73,7 @@ class TestStrategiesAgree:
         job = run_serial(comm_gg, 0.85, 8, strategy="base")
         _, roots = spawn_all(comm_gg, 0.85, 8)
         tf = job.tasks
-        assert sorted(tf["root"]) == sorted(t.root for t in roots)
+        assert sorted(tf["root"]) == sorted(v for v, _ in roots)
         assert (tf["mine_s"] >= 0).all() and (tf["mat_s"] >= 0).all()
         assert tf["mine_s"].sum() == pytest.approx(job.mine_time)
         assert tf["n_emitted"].sum() == job.stats.n_emitted == job.n_results

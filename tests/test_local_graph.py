@@ -48,20 +48,6 @@ class TestBasics:
             assert v not in g.neighbors(v)
 
 
-class TestInduce:
-    @given(graphs(), st.integers(0, 10**6))
-    def test_induce_keeps_only_internal_edges(self, g, seed):
-        rng = random.Random(seed)
-        keep = {v for v in range(g.n) if rng.random() < 0.6}
-        sub = g.induce(mask_of(keep))
-        for u, v in sub.edges():
-            assert u in keep and v in keep and g.has_edge(u, v)
-        for u in keep:
-            for v in keep:
-                if u < v and g.has_edge(u, v):
-                    assert sub.has_edge(u, v)
-
-
 class TestKCore:
     def _peel_reference(self, g, k):
         alive = set(range(g.n))

@@ -9,10 +9,12 @@ import random
 import pytest
 
 from repro.core.brute import brute_force_maximal
+from repro.core.gamma import make_gamma
 from repro.core.graph import LocalGraph
-from repro.core.quickplus import QUICK_ORIGINAL, QUICK_PLUS, MineConfig
+from repro.core.postprocess import maximal_only
+from repro.core.quickplus import QUICK_ORIGINAL, QUICK_PLUS
 from repro.graphs.global_graph import GlobalGraph
-from repro.gthinker.engine import run_serial
+from repro.gthinker.engine import run_serial, run_task
 
 
 def make_case(seed):
@@ -55,11 +57,25 @@ class TestExactness:
 
 @pytest.mark.parametrize("seed", CASE_SEEDS[:12])
 def test_no_degenerate_cover_still_exact(seed):
+    """The (P7) degenerate rule only prunes: Quick+ run on every root
+    task of the plain degree order, no spawn vertex skipped, is exact
+    too. Built from the engine's parts, since only the Quick emulation
+    uses that order in a job."""
     g, gg, gamma, tau = make_case(seed)
     expect = brute_force_maximal(g, gamma, tau)
-    cfg = MineConfig(degenerate_cover=False)
-    job = run_serial(gg, gamma, tau, strategy="base", cfg=cfg)
-    assert job.maximal == expect
+    gam = make_gamma(gamma)
+    pruned = gg.pruned_subgraph(gam, tau)
+    alive = {v for v in range(pruned.n) if pruned.adj[v]}
+    rank, skip = pruned.mining_order(alive, degenerate_cover=False)
+    assert skip == set()
+    found = set()
+    for v in alive:
+        ext = pruned.spawn_task(v, rank, alive, gam, tau)
+        if ext is not None:
+            rec = run_task(pruned, [v], ext, gamma=gam, tau_size=tau, strategy="base",
+                           tau_split=0, tau_time=0.0, cfg=QUICK_PLUS)
+            found.update(map(frozenset, rec["results"]))
+    assert maximal_only(found) == expect
 
 
 @pytest.mark.parametrize("seed", CASE_SEEDS[:15])
